@@ -23,8 +23,8 @@ race:
 check:
 	sh scripts/check.sh
 
-# Perf trajectory snapshot (kernel + codec + sim + NP loopback rates ->
-# BENCH_PR7.json).
+# Perf trajectory snapshot (kernel + codec + sim + NP loopback + field +
+# codec-portfolio tiers -> BENCH_PR10.json).
 bench:
 	sh scripts/bench.sh
 

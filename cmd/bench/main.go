@@ -8,9 +8,9 @@
 // tier (np.go): sender packets/s through an in-process loopback Env,
 // pipelined (encode-ahead pool + pooled frames + MulticastBatch) against
 // the retained pre-PR serial transmit path, the per-core encode scaling
-// sweep (GOMAXPROCS 1/2/4/8 with row-sharded parallel encode; skipped
-// with a skipped_insufficient_cpus marker on single-CPU hosts, where
-// every point would multiplex one core into a misleading ~1.0x curve),
+// sweep (GOMAXPROCS 1/2/4/8 capped at the host's CPU count, with
+// row-sharded parallel encode; skipped with a skipped_insufficient_cpus
+// marker on single-CPU hosts, which leave no curve to measure),
 // measured syscalls/pkt on a real multicast socket (sendmmsg batch path
 // vs per-frame write) — the PR-8 receiver-field tier (field.go): full NP
 // transfers fronting R = 1e4..1e6 simulated receivers through one

@@ -409,13 +409,12 @@ type scalingStats struct {
 	SpeedupVsDepth0 float64 `json:"speedup_vs_depth0"`
 }
 
-// scalingBench sweeps the encode-bound scenario across GOMAXPROCS values.
-// Points beyond runtime.NumCPU() still run (the scheduler just multiplexes)
-// and are recorded as measured; the snapshot's host_cpus field tells the
-// reader how many points had real cores behind them. On a single-CPU host
-// every point multiplexes the one core, so the whole curve flattens to a
-// meaningless ~1.0x — the tier skips instead, and the returned marker is
-// emitted into the snapshot as np_scaling_skipped.
+// scalingBench sweeps the encode-bound scenario across GOMAXPROCS values
+// 1/2/4/8, capped at runtime.NumCPU(): a point beyond the host's cores
+// would measure the scheduler multiplexing them, not the code. On a
+// single-CPU host only GOMAXPROCS=1 is left, so there is no curve — the
+// tier skips instead, and the returned marker is emitted into the snapshot
+// as np_scaling_skipped.
 func scalingBench(runs, groups int) ([]scalingStats, string) {
 	if runtime.NumCPU() < 2 {
 		fmt.Fprintln(os.Stderr, "bench: NP encode scaling skipped: single-CPU host, "+
@@ -427,6 +426,9 @@ func scalingBench(runs, groups int) ([]scalingStats, string) {
 	defer runtime.GOMAXPROCS(orig)
 	var out []scalingStats
 	for _, procs := range []int{1, 2, 4, 8} {
+		if procs > runtime.NumCPU() {
+			break
+		}
 		shards := procs
 		if shards > h {
 			shards = h

@@ -576,9 +576,14 @@ func (r *Receiver) armNak(idx uint32, g *rxGroup, roundSize int) {
 	g.nakCancel = r.env.After(delay, func() { r.fireNak(idx, g) })
 }
 
+// fireNak is the NAK timer body for group idx. A transport may run a timer
+// whose cancel raced with its firing, so g can have been released and
+// reused for another group since it was armed: only the group's current
+// bookkeeping may act.
+//
 //rmlint:hotpath
 func (r *Receiver) fireNak(idx uint32, g *rxGroup) {
-	if r.closed || g.done {
+	if r.closed || g.done || r.groups[idx] != g {
 		return
 	}
 	g.nakArmed = false

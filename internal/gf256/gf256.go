@@ -8,7 +8,8 @@
 // initialisation.
 //
 // The package provides scalar operations, vectorised multiply-accumulate
-// kernels used by the Reed-Solomon erasure codec in package rse, and dense
+// kernels used by the Reed-Solomon erasure codec in package rse (AVX2
+// assembly on amd64 hosts that support it, portable Go elsewhere), and dense
 // matrix operations (Vandermonde construction, Gaussian-elimination
 // inversion) over the field.
 package gf256
@@ -138,9 +139,11 @@ func lengthMismatch(op string, a, b int) string {
 	return fmt.Sprintf("gf256: %s length mismatch %d != %d", op, a, b)
 }
 
-// MulSlice sets dst[i] = c*src[i] with the word-parallel kernel of
-// kernels.go. dst and src must have equal length and must not alias unless
-// identical. A zero coefficient zeroes dst; coefficient one copies.
+// MulSlice sets dst[i] = c*src[i] with the kernels of kernels.go: AVX2
+// over the 32-byte-multiple prefix where available, the pair-table word
+// kernel over the rest. dst and src must have equal length and must not
+// alias unless identical. A zero coefficient zeroes dst; coefficient one
+// copies.
 //
 //rmlint:hotpath
 func MulSlice(c byte, src, dst []byte) {
@@ -155,14 +158,16 @@ func MulSlice(c byte, src, dst []byte) {
 	case 1:
 		copy(dst, src)
 	default:
-		mulWords(c, src, dst)
+		if v := mulPrefix(c, src, dst); v < len(src) {
+			mulWords(c, src[v:], dst[v:])
+		}
 	}
 }
 
 // MulAddSlice computes dst[i] ^= c*src[i], the multiply-accumulate kernel at
-// the heart of Reed-Solomon encoding and decoding, with the word-parallel
-// kernel of kernels.go. dst and src must have equal length and must not
-// alias unless identical.
+// the heart of Reed-Solomon encoding and decoding, with the kernels of
+// kernels.go (see MulSlice). dst and src must have equal length and must
+// not alias unless identical.
 //
 //rmlint:hotpath
 func MulAddSlice(c byte, src, dst []byte) {
@@ -173,20 +178,23 @@ func MulAddSlice(c byte, src, dst []byte) {
 	case 0:
 		return
 	case 1:
-		xorWords(src, dst)
+		xorSlice(src, dst)
 	default:
-		mulAddWords(c, src, dst)
+		if v := mulAddPrefix(c, src, dst); v < len(src) {
+			mulAddWords(c, src[v:], dst[v:])
+		}
 	}
 }
 
-// MulSliceCompact is MulSlice restricted to the shared 64 KiB product
-// table: the general case runs the byte-at-a-time row loop and no
-// per-coefficient pair table is built or touched. Callers whose coefficient
+// MulSliceCompact is MulSlice with no per-coefficient pair table built or
+// touched: the part the AVX2 kernel does not take runs the byte-at-a-time
+// loop over the shared 64 KiB product table. Callers whose coefficient
 // working set is large — the rse codec gates on the distinct-coefficient
 // count of its generator matrix — use the compact forms, because cycling
 // through many 128 KiB pair tables evicts them faster than they pay off
 // (the word kernel drops to ~0.25x the scalar loop beyond ~64 live
-// coefficients; see BenchmarkKernels and DESIGN.md).
+// coefficients; see DESIGN.md). With AVX2 the choice only matters for
+// tails under 32 bytes.
 //
 //rmlint:hotpath
 func MulSliceCompact(c byte, src, dst []byte) {
@@ -201,16 +209,14 @@ func MulSliceCompact(c byte, src, dst []byte) {
 	case 1:
 		copy(dst, src)
 	default:
-		tbl := &mulTbl[c]
-		for i, s := range src {
-			dst[i] = tbl[s]
-		}
+		v := mulPrefix(c, src, dst)
+		mulRow(c, src[v:], dst[v:])
 	}
 }
 
-// MulAddSliceCompact is MulAddSlice restricted to the shared 64 KiB product
-// table; see MulSliceCompact. The c == 1 case still runs the word-parallel
-// XOR — it needs no per-coefficient table.
+// MulAddSliceCompact is MulAddSlice with no pair table; see
+// MulSliceCompact. The c == 1 case runs the same XOR as MulAddSlice — it
+// needs no per-coefficient table.
 //
 //rmlint:hotpath
 func MulAddSliceCompact(c byte, src, dst []byte) {
@@ -221,23 +227,22 @@ func MulAddSliceCompact(c byte, src, dst []byte) {
 	case 0:
 		return
 	case 1:
-		xorWords(src, dst)
+		xorSlice(src, dst)
 	default:
-		tbl := &mulTbl[c]
-		for i, s := range src {
-			dst[i] ^= tbl[s]
-		}
+		v := mulAddPrefix(c, src, dst)
+		mulAddRow(c, src[v:], dst[v:])
 	}
 }
 
-// AddSlice computes dst[i] ^= src[i], 64 bits at a time.
+// AddSlice computes dst[i] ^= src[i]: 32 bytes at a time with AVX2, else
+// 64 bits at a time.
 //
 //rmlint:hotpath
 func AddSlice(src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(lengthMismatch("AddSlice", len(src), len(dst)))
 	}
-	xorWords(src, dst)
+	xorSlice(src, dst)
 }
 
 // DotProduct returns sum_i a[i]*b[i] over the field.

@@ -1,47 +1,39 @@
 package gf256
 
-// Word-parallel multiply-accumulate kernels.
+// Slice kernels.
 //
-// The byte-at-a-time kernels (kept below as MulAddSliceScalar and
-// MulSliceScalar — the correctness oracle and the baseline the benchmark
-// gate compares against) spend most of their time on per-byte loads,
-// stores and bounds checks rather than on field arithmetic. The kernels
-// here instead move 64 bits per memory operation. Three table layouts are
-// implemented; BenchmarkKernels measures all of them and DESIGN.md
-// records why the pair-table kernel is the production dispatch:
+// Every public slice kernel (MulSlice, MulAddSlice, their Compact forms
+// and AddSlice) splits its input in two:
 //
-//   - Pair tables (production): for each coefficient c a lazily built
-//     65536-entry table maps a byte *pair* (b0, b1) to the packed pair of
-//     products (c*b0, c*b1). A 64-bit word then needs only four table
-//     lookups, one 64-bit load and one 64-bit store — half the lookups of
-//     the full-row word kernel and a quarter of the split-nibble one.
-//     This is the layout GF-Complete calls SPLIT(8,8). Tables are 128 KiB
-//     per coefficient, built on first use and published with an atomic
-//     pointer (32 MiB ceiling if all 254 non-trivial coefficients are
-//     ever exercised). The layout only pays while the live tables fit in
-//     cache: measured on the reference host it beats the scalar loop up
-//     to roughly 32 distinct coefficients and collapses to ~0.25x beyond
-//     64, so the rse codec counts the distinct coefficients of each
-//     generator or decode matrix and falls back to the *Compact forms
-//     (gf256.go) past its budget.
+//   - The longest prefix whose length is a multiple of 32 bytes runs on
+//     the AVX2 assembly of kernels_amd64.s, when package init found AVX2
+//     and OS-enabled YMM state (useAVX2). The multiply kernels use the
+//     split-nibble identity c*x = c*(x & 0x0f) ^ c*(x & 0xf0): the
+//     coefficient's two 16-entry tables (mulLo, mulHi, 32 B per
+//     coefficient) sit in one register each and VPSHUFB looks up 32
+//     nibbles per instruction, so the working set is tiny whatever the
+//     number of distinct coefficients. The c == 1 case is a VPXOR.
 //
-//   - Split-nibble (ablation): two 16-entry tables per coefficient
-//     (mulLo, mulHi — 8 KiB total, always L1-resident), the SWAR analogue
-//     of the PSHUFB trick every SIMD erasure coder uses: c*x =
-//     c*(x & 0x0f) ^ c*(x & 0xf0). Sixteen lookups per word; the
-//     register-assembly cost makes it slower than scalar in pure Go on
-//     the hosts measured, which is why it is not the default.
+//   - The rest — the whole slice off amd64 or without AVX2, else a tail
+//     of under 32 bytes — runs the portable Go kernels below. Their
+//     general-coefficient path uses pair tables: for each coefficient c a
+//     lazily built 65536-entry table maps a byte *pair* (b0, b1) to the
+//     packed pair of products (c*b0, c*b1), so a 64-bit word takes four
+//     table lookups, one 64-bit load and one 64-bit store (GF-Complete's
+//     SPLIT(8,8)). Tables are 128 KiB per coefficient, built on first use
+//     and published with an atomic pointer. The layout only pays while
+//     the live tables fit in cache: it beats the byte loop up to roughly
+//     32 distinct coefficients and collapses to ~0.25x beyond 64, so the
+//     rse codec counts the distinct coefficients of each generator or
+//     decode matrix and uses the *Compact forms (gf256.go), whose
+//     portable path is the byte loop over the shared 64 KiB product
+//     table, past its budget. The c == 1 case XORs four words per
+//     iteration.
 //
-//   - Full-row word (ablation): eight lookups per word into the
-//     coefficient's 256-entry row of mulTbl.
-//
-// All kernels re-slice up front (d := dst[:len(src)]) so the compiler
-// drops bounds checks, go through encoding/binary — no unsafe, no
-// goroutines — and are bit-identical to the scalar reference on every
-// input (see TestKernelsMatchScalar).
-//
-// The c == 1 case (pure XOR: parity accumulation with unit coefficient,
-// AddSlice) skips the tables entirely and XORs four words per iteration.
+// The portable kernels re-slice up front (d := dst[:len(src)]) so the
+// compiler drops bounds checks and go through encoding/binary — no unsafe.
+// Both paths are bit-identical to the scalar reference on every input
+// (TestKernelsMatchScalar, FuzzKernels).
 
 import (
 	"encoding/binary"
@@ -88,6 +80,45 @@ func pairTableFor(c byte) *[65536]uint16 {
 	}
 	pairTbls[c].CompareAndSwap(nil, t)
 	return pairTbls[c].Load()
+}
+
+// vecLen returns how many leading bytes of an n-byte slice the AVX2
+// kernels take: n rounded down to a multiple of 32, or 0 without AVX2.
+func vecLen(n int) int {
+	if useAVX2 {
+		return n &^ 31
+	}
+	return 0
+}
+
+// mulPrefix sets dst[i] = c*src[i] over the vecLen prefix and returns its
+// length.
+func mulPrefix(c byte, src, dst []byte) int {
+	v := vecLen(len(src))
+	if v > 0 {
+		mulAVX2(&mulLo[c], &mulHi[c], src[:v], dst[:v])
+	}
+	return v
+}
+
+// mulAddPrefix computes dst[i] ^= c*src[i] over the vecLen prefix and
+// returns its length.
+func mulAddPrefix(c byte, src, dst []byte) int {
+	v := vecLen(len(src))
+	if v > 0 {
+		mulAddAVX2(&mulLo[c], &mulHi[c], src[:v], dst[:v])
+	}
+	return v
+}
+
+// xorSlice computes dst[i] ^= src[i]: AVX2 over the vecLen prefix, the
+// word loop over the rest.
+func xorSlice(src, dst []byte) {
+	v := vecLen(len(src))
+	if v > 0 {
+		xorAVX2(src[:v], dst[:v])
+	}
+	xorWords(src[v:], dst[v:])
 }
 
 // xorWords computes dst[i] ^= src[i] one 64-bit word at a time, 4x
@@ -141,12 +172,7 @@ func mulAddWords(c byte, src, dst []byte) {
 		s = s[8:]
 		d = d[8:]
 	}
-	if len(s) > 0 {
-		row := &mulTbl[c]
-		for i, v := range s {
-			d[i] ^= row[v]
-		}
-	}
+	mulAddRow(c, s, d)
 }
 
 // mulWords computes dst[i] = c*src[i] with the pair-table word kernel;
@@ -175,107 +201,34 @@ func mulWords(c byte, src, dst []byte) {
 		s = s[8:]
 		d = d[8:]
 	}
-	if len(s) > 0 {
-		row := &mulTbl[c]
-		for i, v := range s {
-			d[i] = row[v]
-		}
-	}
+	mulRow(c, s, d)
 }
 
-// mulWord returns the eight GF(2^8) products c*b for the packed bytes of
-// x, using the coefficient's split-nibble tables. The &15 masks prove the
-// indices in range, so the lookups compile without bounds checks.
-func mulWord(lo, hi *[16]byte, x uint64) uint64 {
-	return uint64(lo[x&15]^hi[(x>>4)&15]) |
-		uint64(lo[(x>>8)&15]^hi[(x>>12)&15])<<8 |
-		uint64(lo[(x>>16)&15]^hi[(x>>20)&15])<<16 |
-		uint64(lo[(x>>24)&15]^hi[(x>>28)&15])<<24 |
-		uint64(lo[(x>>32)&15]^hi[(x>>36)&15])<<32 |
-		uint64(lo[(x>>40)&15]^hi[(x>>44)&15])<<40 |
-		uint64(lo[(x>>48)&15]^hi[(x>>52)&15])<<48 |
-		uint64(lo[(x>>56)&15]^hi[(x>>60)&15])<<56
-}
-
-// mulAddWordsNibble is the split-nibble ablation variant of mulAddWords:
-// word-at-a-time loads/stores with sixteen L1-resident nibble lookups per
-// word, 4x unrolled. Measured slower than the pair-table kernel in pure
-// Go (the sixteen lookups plus register assembly dominate), so it is kept
-// for BenchmarkKernels and the equivalence tests, not the dispatch.
-func mulAddWordsNibble(c byte, src, dst []byte) {
-	lo, hi := &mulLo[c], &mulHi[c]
+// mulRow sets dst[i] = c*src[i] one byte at a time through c's row of the
+// shared product table: the portable path of the Compact forms and the
+// tail of the pair-table kernels.
+func mulRow(c byte, src, dst []byte) {
+	row := &mulTbl[c]
 	d := dst[:len(src)]
-	s := src
-	for len(s) >= 32 {
-		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^mulWord(lo, hi, binary.LittleEndian.Uint64(s)))
-		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(d[8:])^mulWord(lo, hi, binary.LittleEndian.Uint64(s[8:])))
-		binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(d[16:])^mulWord(lo, hi, binary.LittleEndian.Uint64(s[16:])))
-		binary.LittleEndian.PutUint64(d[24:], binary.LittleEndian.Uint64(d[24:])^mulWord(lo, hi, binary.LittleEndian.Uint64(s[24:])))
-		s = s[32:]
-		d = d[32:]
-	}
-	for len(s) >= 8 {
-		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^mulWord(lo, hi, binary.LittleEndian.Uint64(s)))
-		s = s[8:]
-		d = d[8:]
-	}
-	if len(s) > 0 {
-		tbl := &mulTbl[c]
-		for i, v := range s {
-			d[i] ^= tbl[v]
-		}
+	for i, v := range src {
+		d[i] = row[v]
 	}
 }
 
-// mulWordsNibble is the split-nibble ablation counterpart of mulWords.
-func mulWordsNibble(c byte, src, dst []byte) {
-	lo, hi := &mulLo[c], &mulHi[c]
+// mulAddRow computes dst[i] ^= c*src[i]; see mulRow.
+func mulAddRow(c byte, src, dst []byte) {
+	row := &mulTbl[c]
 	d := dst[:len(src)]
-	s := src
-	for len(s) >= 8 {
-		binary.LittleEndian.PutUint64(d, mulWord(lo, hi, binary.LittleEndian.Uint64(s)))
-		s = s[8:]
-		d = d[8:]
-	}
-	if len(s) > 0 {
-		tbl := &mulTbl[c]
-		for i, v := range s {
-			d[i] = tbl[v]
-		}
-	}
-}
-
-// mulAddWordsTable is the full-row ablation: word-at-a-time loads/stores
-// with eight lookups per word into the coefficient's 256-entry product
-// row (twice the lookups of the pair kernel, a 512x smaller working set).
-// Kept for BenchmarkKernels to document the pair-table choice.
-func mulAddWordsTable(c byte, src, dst []byte) {
-	tbl := &mulTbl[c]
-	d := dst[:len(src)]
-	s := src
-	for len(s) >= 8 {
-		x := binary.LittleEndian.Uint64(s)
-		w := uint64(tbl[x&0xff]) |
-			uint64(tbl[(x>>8)&0xff])<<8 |
-			uint64(tbl[(x>>16)&0xff])<<16 |
-			uint64(tbl[(x>>24)&0xff])<<24 |
-			uint64(tbl[(x>>32)&0xff])<<32 |
-			uint64(tbl[(x>>40)&0xff])<<40 |
-			uint64(tbl[(x>>48)&0xff])<<48 |
-			uint64(tbl[(x>>56)&0xff])<<56
-		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^w)
-		s = s[8:]
-		d = d[8:]
-	}
-	for i, v := range s {
-		d[i] ^= tbl[v]
+	for i, v := range src {
+		d[i] ^= row[v]
 	}
 }
 
 // MulAddSliceScalar is the byte-at-a-time multiply-accumulate kernel that
-// predates the word-parallel path: dst[i] ^= c*src[i] through the 64 KiB
-// product table. It is retained as the reference implementation — the
-// equivalence tests assert the word kernels match it byte for byte, and
+// predates the vector and word-parallel paths: dst[i] ^= c*src[i] through
+// the 64 KiB product table. It is retained as the reference implementation
+// — the equivalence tests assert the other kernels match it byte for byte,
+// and
 // BenchmarkKernels reports the speedup of MulAddSlice against it.
 func MulAddSliceScalar(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
@@ -297,7 +250,7 @@ func MulAddSliceScalar(c byte, src, dst []byte) {
 }
 
 // MulSliceScalar is the byte-at-a-time counterpart of MulSlice, retained
-// as the reference implementation for the word-parallel kernel.
+// as the reference implementation for the vector and word kernels.
 func MulSliceScalar(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(lengthMismatch("MulSliceScalar", len(src), len(dst)))

@@ -7,78 +7,94 @@ import (
 	"testing"
 )
 
-// TestKernelsMatchScalar sweeps the word-parallel kernels against the
+// xorRef is the scalar reference of the XOR kernels, which ignore c.
+func xorRef(_ byte, src, dst []byte) { MulAddSliceScalar(1, src, dst) }
+
+// sliceKernels lists every public slice kernel, then the portable kernels
+// behind them — called directly so the fallback stays tested on hosts
+// where the AVX2 path takes the public kernels' vector prefix — each with
+// the scalar reference it must match.
+var sliceKernels = []struct {
+	name string
+	f    func(c byte, src, dst []byte)
+	ref  func(c byte, src, dst []byte)
+}{
+	{"MulSlice", MulSlice, MulSliceScalar},
+	{"MulAddSlice", MulAddSlice, MulAddSliceScalar},
+	{"MulSliceCompact", MulSliceCompact, MulSliceScalar},
+	{"MulAddSliceCompact", MulAddSliceCompact, MulAddSliceScalar},
+	{"AddSlice", func(_ byte, src, dst []byte) { AddSlice(src, dst) }, xorRef},
+	{"mulWords", mulWords, MulSliceScalar},
+	{"mulAddWords", mulAddWords, MulAddSliceScalar},
+	{"mulRow", mulRow, MulSliceScalar},
+	{"mulAddRow", mulAddRow, MulAddSliceScalar},
+	{"xorWords", func(_ byte, src, dst []byte) { xorWords(src, dst) }, xorRef},
+}
+
+// checkKernels runs every sliceKernels entry on src and dstBuf[off:off+len(src)]
+// and reports the first whose result differs from its reference anywhere
+// in dstBuf, so a kernel that writes past its slice is caught too.
+func checkKernels(t *testing.T, c byte, src, dstBuf []byte, off int) {
+	t.Helper()
+	n := len(src)
+	for _, k := range sliceKernels {
+		want := append([]byte(nil), dstBuf...)
+		k.ref(c, src, want[off:off+n])
+		got := append([]byte(nil), dstBuf...)
+		k.f(c, src, got[off:off+n])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s(c=%#x, n=%d, dst offset %d) diverges from scalar", k.name, c, n, off)
+		}
+	}
+}
+
+// TestKernelsMatchScalar sweeps every slice kernel against the
 // byte-at-a-time scalar reference across every coefficient, a ladder of
 // lengths around the 8- and 32-byte loop boundaries (including lengths not
-// divisible by 8) and all 8 sub-word alignments of both src and dst.
+// divisible by 8, and lengths spanning many 32-byte vector iterations plus
+// a tail) and several sub-word alignments of both src and dst.
 func TestKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	lengths := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 255, 256, 1000, 1024}
-	coeffs := make([]byte, 0, 256)
-	for c := 0; c < 256; c++ {
-		coeffs = append(coeffs, byte(c))
-	}
+	lengths := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 255, 256, 1000, 1024, 1500, 2061}
 	for _, n := range lengths {
 		for _, align := range []int{0, 1, 3, 7} {
 			backingSrc := make([]byte, n+align)
-			backingDst := make([]byte, n+align)
-			for _, c := range coeffs {
+			dstBuf := make([]byte, n+align+8)
+			for c := 0; c < 256; c++ {
 				rng.Read(backingSrc)
-				rng.Read(backingDst)
-				src := backingSrc[align:]
-				dst := backingDst[align:]
-
-				wantAdd := append([]byte(nil), dst...)
-				MulAddSliceScalar(c, src, wantAdd)
-				gotAdd := append([]byte(nil), dst...)
-				MulAddSlice(c, src, gotAdd)
-				if !bytes.Equal(gotAdd, wantAdd) {
-					t.Fatalf("MulAddSlice(c=%#x, n=%d, align=%d) diverges from scalar", c, n, align)
-				}
-
-				wantMul := append([]byte(nil), dst...)
-				MulSliceScalar(c, src, wantMul)
-				gotMul := append([]byte(nil), dst...)
-				MulSlice(c, src, gotMul)
-				if !bytes.Equal(gotMul, wantMul) {
-					t.Fatalf("MulSlice(c=%#x, n=%d, align=%d) diverges from scalar", c, n, align)
-				}
-
-				gotTbl := append([]byte(nil), dst...)
-				mulAddWordsTable(c, src, gotTbl)
-				if !bytes.Equal(gotTbl, wantAdd) {
-					t.Fatalf("mulAddWordsTable(c=%#x, n=%d, align=%d) diverges from scalar", c, n, align)
-				}
-
-				gotNib := append([]byte(nil), dst...)
-				mulAddWordsNibble(c, src, gotNib)
-				if !bytes.Equal(gotNib, wantAdd) {
-					t.Fatalf("mulAddWordsNibble(c=%#x, n=%d, align=%d) diverges from scalar", c, n, align)
-				}
-
-				gotNibMul := append([]byte(nil), dst...)
-				mulWordsNibble(c, src, gotNibMul)
-				if !bytes.Equal(gotNibMul, wantMul) {
-					t.Fatalf("mulWordsNibble(c=%#x, n=%d, align=%d) diverges from scalar", c, n, align)
-				}
-
-				gotAddC := append([]byte(nil), dst...)
-				MulAddSliceCompact(c, src, gotAddC)
-				if !bytes.Equal(gotAddC, wantAdd) {
-					t.Fatalf("MulAddSliceCompact(c=%#x, n=%d, align=%d) diverges from scalar", c, n, align)
-				}
-
-				gotMulC := append([]byte(nil), dst...)
-				MulSliceCompact(c, src, gotMulC)
-				if !bytes.Equal(gotMulC, wantMul) {
-					t.Fatalf("MulSliceCompact(c=%#x, n=%d, align=%d) diverges from scalar", c, n, align)
-				}
+				rng.Read(dstBuf)
+				checkKernels(t, byte(c), backingSrc[align:], dstBuf, align)
 			}
 		}
 	}
 }
 
-// TestNibbleTablesConsistent pins the split-nibble identity the word kernel
+// FuzzKernels checks every slice kernel against the scalar reference on a
+// random coefficient, length and src/dst offsets; the seeds cover the
+// vector/tail split around 32-byte multiples.
+func FuzzKernels(f *testing.F) {
+	for _, seed := range []struct {
+		c              byte
+		n              uint16
+		srcOff, dstOff uint8
+	}{
+		{0x57, 1024, 0, 0}, {0x02, 1500, 1, 5}, {0xff, 2061, 7, 3},
+		{1, 95, 3, 0}, {0, 64, 0, 31}, {0x8e, 31, 2, 2}, {0x1d, 33, 0, 1},
+	} {
+		f.Add(seed.c, seed.n, seed.srcOff, seed.dstOff, int64(seed.n))
+	}
+	f.Fuzz(func(t *testing.T, c byte, n uint16, srcOff, dstOff uint8, seed int64) {
+		ln, so, do := int(n)%4096, int(srcOff)%64, int(dstOff)%64
+		rng := rand.New(rand.NewSource(seed))
+		srcBuf := make([]byte, so+ln)
+		dstBuf := make([]byte, do+ln+64)
+		rng.Read(srcBuf)
+		rng.Read(dstBuf)
+		checkKernels(t, c, srcBuf[so:], dstBuf, do)
+	})
+}
+
+// TestNibbleTablesConsistent pins the split-nibble identity the AVX2 kernel
 // relies on: c*x == mulLo[c][x&15] ^ mulHi[c][x>>4] for every (c, x).
 func TestNibbleTablesConsistent(t *testing.T) {
 	for c := 0; c < 256; c++ {
@@ -144,10 +160,9 @@ func TestAddSliceMatchesXor(t *testing.T) {
 }
 
 // BenchmarkKernels is the micro-benchmark suite behind the Fig-1 hot path:
-// the word-parallel kernels against the scalar reference they replaced
-// (the acceptance gate of PR 2 requires >= 2x on MulAdd at 1 KiB), plus
-// the two ablation layouts documenting the pair-table choice. check.sh
-// runs it with -benchtime 1x so it cannot bit-rot.
+// the dispatched kernels (AVX2 where available) against the scalar
+// reference they replaced, plus the portable pair-table kernel that is the
+// fallback without AVX2.
 func BenchmarkKernels(b *testing.B) {
 	sizes := []int{64, 1024, 4096}
 	const c = 0x57
@@ -168,8 +183,7 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		run("MulAdd", func() { MulAddSlice(c, src, dst) })
 		run("MulAddScalarRef", func() { MulAddSliceScalar(c, src, dst) })
-		run("MulAddNibbleWord", func() { mulAddWordsNibble(c, src, dst) })
-		run("MulAddFullTableWord", func() { mulAddWordsTable(c, src, dst) })
+		run("MulAddPortable", func() { mulAddWords(c, src, dst) })
 		run("Mul", func() { MulSlice(c, src, dst) })
 		run("MulScalarRef", func() { MulSliceScalar(c, src, dst) })
 		run("Xor", func() { AddSlice(src, dst) })

@@ -5,7 +5,10 @@ import (
 	"fmt"
 )
 
-// Matrix is a dense row-major matrix over GF(2^8).
+// Matrix is a dense row-major matrix over GF(2^8). Its row operations use
+// the Compact slice kernels: coding matrices have rows of a few dozen
+// bytes, too short to repay the pair tables MulAddSlice would build and
+// pull into cache for each of their many distinct coefficients.
 type Matrix struct {
 	Rows, Cols int
 	Data       []byte // len Rows*Cols
@@ -92,7 +95,7 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 		oi := out.Row(i)
 		for k := 0; k < m.Cols; k++ {
 			if c := mi[k]; c != 0 {
-				MulAddSlice(c, other.Row(k), oi)
+				MulAddSliceCompact(c, other.Row(k), oi)
 			}
 		}
 	}
@@ -144,8 +147,8 @@ func (m *Matrix) Invert() (*Matrix, error) {
 		// Normalise the pivot row.
 		if pv := a.At(col, col); pv != 1 {
 			c := Inv(pv)
-			MulSlice(c, a.Row(col), a.Row(col))
-			MulSlice(c, inv.Row(col), inv.Row(col))
+			MulSliceCompact(c, a.Row(col), a.Row(col))
+			MulSliceCompact(c, inv.Row(col), inv.Row(col))
 		}
 		// Eliminate the column from every other row.
 		for r := 0; r < n; r++ {
@@ -153,8 +156,8 @@ func (m *Matrix) Invert() (*Matrix, error) {
 				continue
 			}
 			if f := a.At(r, col); f != 0 {
-				MulAddSlice(f, a.Row(col), a.Row(r))
-				MulAddSlice(f, inv.Row(col), inv.Row(r))
+				MulAddSliceCompact(f, a.Row(col), a.Row(r))
+				MulAddSliceCompact(f, inv.Row(col), inv.Row(r))
 			}
 		}
 	}

@@ -246,21 +246,26 @@ func (c *Conn) writeBatch(frames [][]byte) (int, error) {
 }
 
 // After implements core.Env: fn runs on the engine mutex unless canceled
-// or the Conn is closed first.
+// or the Conn is closed first. The engines cancel under the engine mutex,
+// and a timer that fired while such a cancel was under way waits for that
+// mutex, so the callback checks canceled again once it holds it: fn does
+// not run after a cancel made under the engine mutex has returned.
 func (c *Conn) After(d time.Duration, fn func()) (cancel func()) {
 	var canceled bool
 	var mu sync.Mutex
+	dead := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return canceled
+	}
 	//rmlint:ignore env-discipline this Conn IS the wall-clock core.Env implementation; Env.After maps to a real timer
 	timer := time.AfterFunc(d, func() {
-		mu.Lock()
-		dead := canceled
-		mu.Unlock()
-		if dead {
+		if dead() {
 			return
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if !c.closed.Load() {
+		if !c.closed.Load() && !dead() {
 			fn()
 		}
 	})

@@ -3,8 +3,12 @@
 #
 # Tiers, cheapest first so failures surface fast:
 #   1. gofmt            formatting drift
-#   2. go vet           the stock analyzer suite, plus a second pass with
-#                       an extended -unusedresult function list
+#   2. go vet           the stock analyzer suite (asmdecl included, which
+#                       checks the gf256 AVX2 assembly against its Go
+#                       declarations), plus a second pass with an extended
+#                       -unusedresult function list, plus a GOARCH=arm64
+#                       pass over the GF(2^8) codec packages so the
+#                       portable (non-amd64) kernel build keeps compiling
 #   3. go build         everything compiles
 #   4. rmlint           project invariants (env-discipline, no-goroutines,
 #                       float-eq, mutex-discipline, doc-comment, and the
@@ -78,6 +82,8 @@ go vet ./...
 go vet -unusedresult \
     -unusedresult.funcs='errors.New,errors.Unwrap,fmt.Errorf,fmt.Sprint,fmt.Sprintf,fmt.Sprintln,sort.Reverse,context.WithValue,strings.Join,strings.Repeat,strings.ToLower,strings.ToUpper,strings.TrimSpace' \
     ./...
+# Cross-vet the non-amd64 build of the kernels and their callers.
+GOARCH=arm64 go vet ./internal/gf256/ ./internal/rse/ ./internal/rect/
 
 echo '== go build ./...'
 go build ./...
